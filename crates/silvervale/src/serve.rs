@@ -16,7 +16,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use svcluster::{cluster_rows, Heatmap};
 use svcorpus::App;
 use svdist::DistanceMatrix;
-use svmetrics::{divergence, Measured, Metric, Variant};
+use svmetrics::{Measured, Metric, Variant};
 use svperf::phi_all;
 use svport::{GateClass, Leaderboard, ScoredCandidate};
 use svserve::cached::{self, FpArtifact};
@@ -237,7 +237,8 @@ impl AnalysisService {
                 })
                 .collect()
         } else {
-            direct_divergence_from(&measured, &db.labels(), metric, v, base_idx)
+            let row = svmetrics::divergence_row(metric, v, base_idx, &measured);
+            db.labels().into_iter().zip(row).map(|(label, d)| (label, d.normalized())).collect()
         };
         Ok(out)
     }
@@ -761,25 +762,6 @@ fn with_approx_stats(mut json: Json, stats: &svmetrics::ApproxStats) -> Json {
         );
     }
     json
-}
-
-/// Direct (uncached) divergence-from-base for the cheap metrics; matches
-/// `pipeline::divergence_from` exactly.
-fn direct_divergence_from(
-    measured: &[Measured<'_>],
-    labels: &[String],
-    metric: Metric,
-    v: Variant,
-    base_idx: usize,
-) -> Vec<(String, f64)> {
-    labels
-        .iter()
-        .zip(measured)
-        .map(|(label, m)| {
-            let d = divergence(metric, v, &measured[base_idx], m);
-            (label.clone(), d.normalized())
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -850,7 +850,7 @@ mod lanes {
 
         compress_labels(a, b, &mut s.la32, &mut s.lb32);
         grow32(&mut s.td32, n * m + SIMD_LANE_PAD);
-        grow32(&mut s.fd32, (n + 1) * (m + 1) + SIMD_LANE_PAD);
+        grow32(&mut s.fd32, a.fd_rows * (m + 1) + SIMD_LANE_PAD);
         let la32 = s.la32.as_ptr();
         let lb32 = s.lb32.as_ptr();
         let td: *mut u32 = s.td32.as_mut_ptr();
@@ -879,26 +879,37 @@ mod lanes {
         for &kr1 in &a.keyroots {
             let l1 = a.lld[kr1];
             let rows = kr1 - l1 + 2;
+            // Forest row di lives in slot `slot_of[di]` (live-row table,
+            // see `zs_dp`); fd row 0 is the insert ramp, never stored.
+            let slot_of = &a.row_slot[l1..l1 + rows];
             for &kr2 in &b.keyroots {
                 let l2 = b.lld[kr2];
                 let cols = kr2 - l2 + 2;
-                // Not an iterator loop: `di` indexes four unrelated
-                // arrays (fd rows, td rows, both ramps), not one slice.
+                // Not an iterator loop: `di` indexes five unrelated
+                // arrays (slots, td rows, both ramps, labels), not one
+                // slice.
                 #[allow(clippy::needless_range_loop)]
                 for di in 1..rows {
                     let i = l1 + di - 1;
-                    let row = fd.add(di * cols);
-                    let prev: *const u32 =
-                        if di == 1 { ins_ramp.as_ptr() } else { fd.add((di - 1) * cols) };
+                    let row = fd.add(slot_of[di] as usize * cols);
+                    let prev: *const u32 = if di == 1 {
+                        ins_ramp.as_ptr()
+                    } else {
+                        fd.add(slot_of[di - 1] as usize * cols)
+                    };
                     let td_row = td.add(i * m + l2); // indexed by dj − 1
                     let lld_col = b.lld32.as_ptr().add(l2); // indexed by dj − 1
                     let lb_col = lb32.add(l2); // indexed by dj − 1
                     let whole = a.lld[i] == l1;
-                    let pref: *const u32 =
-                        if whole { ins_ramp.as_ptr() } else { fd.add((a.lld[i] - l1) * cols) };
+                    let pref: *const u32 = if whole {
+                        ins_ramp.as_ptr()
+                    } else {
+                        fd.add(a.row_slot[a.lld[i]] as usize * cols)
+                    };
                     // Column 0: detached-prefix gathers hit it at runtime
-                    // offsets, so it must live in memory.  Writing it at
-                    // row start is sound: gathers only read rows < di.
+                    // offsets, so it must live in memory.  Writing it when
+                    // the row takes its slot is sound: gathers only read
+                    // rows < di, which are still live in their own slots.
                     *row = del_ramp[di];
                     let lai = *la32.add(i);
                     let mut left = del_ramp[di];
@@ -920,7 +931,7 @@ mod lanes {
                         );
                     }
                     // Scalar tail (≤ S::N − 1 cells): full-vector stores
-                    // here would clobber the next row's column-0 border,
+                    // here would clobber the next slot's column-0 border,
                     // so the remainder runs scalar.
                     while dj < cols {
                         let lldj = *lld_col.add(dj - 1) as usize;
@@ -1103,7 +1114,7 @@ mod lanes {
 
         compress_labels(a, b, &mut s.la32, &mut s.lb32);
         grow32(&mut s.td32, n * m + SIMD_LANE_PAD);
-        grow32(&mut s.fd32, (n + 1) * (m + 1) + SIMD_LANE_PAD);
+        grow32(&mut s.fd32, a.fd_rows * (m + 1) + SIMD_LANE_PAD);
         let la32 = s.la32.as_ptr();
         let lb32 = s.lb32.as_ptr();
         let td: *mut u32 = s.td32.as_mut_ptr();
@@ -1117,17 +1128,20 @@ mod lanes {
         for &kr1 in &a.keyroots {
             let l1 = a.lld[kr1];
             let rows = kr1 - l1 + 2;
+            // Forest row di lives in slot `slot_of[di]` (see `zs_dp`).
+            let slot_of = &a.row_slot[l1..l1 + rows];
             for &kr2 in &b.keyroots {
                 let l2 = b.lld[kr2];
                 let cols = kr2 - l2 + 2;
                 // Row 0, window [0, r0hi] plus right pad (the scalar
                 // kernel computes these on the fly in `fd_at`).
+                let row0 = fd.add(slot_of[0] as usize * cols);
                 let r0hi = bi.min((cols - 1) as u64) as usize;
                 for c in 0..=r0hi {
-                    *fd.add(c) = (c as u64 * u64::from(ins)) as u32;
+                    *row0.add(c) = (c as u64 * u64::from(ins)) as u32;
                 }
                 if r0hi + 1 < cols {
-                    *fd.add(r0hi + 1) = inf;
+                    *row0.add(r0hi + 1) = inf;
                 }
                 for di in 1..rows {
                     // Rows only move further below the band; once this
@@ -1138,8 +1152,8 @@ mod lanes {
                     let jlo = if (di as u64) > bd { (di as u64 - bd) as usize } else { 1 }.max(1);
                     let jhi = (di as u64).saturating_add(bi).min((cols - 1) as u64) as usize;
                     let i = l1 + di - 1;
-                    let row = fd.add(di * cols);
-                    let prev = fd.add((di - 1) * cols) as *const u32;
+                    let row = fd.add(slot_of[di] as usize * cols);
+                    let prev = fd.add(slot_of[di - 1] as usize * cols) as *const u32;
                     // Column 0 border and band-edge pads.
                     *row =
                         if (di as u64) <= bd { (di as u64 * u64::from(del)) as u32 } else { inf };
@@ -1154,7 +1168,7 @@ mod lanes {
                     let lb_col = lb32.add(l2); // indexed by dj − 1
                     let whole = a.lld[i] == l1;
                     let pi = a.lld[i] - l1;
-                    let pref: *const u32 = fd.add(pi * cols);
+                    let pref: *const u32 = fd.add(slot_of[pi] as usize * cols);
                     let tr = i - a.lld[i] + 1;
                     let lai = *la32.add(i);
                     let mut left: u32 = if jlo == 1 { *row } else { inf };

@@ -39,7 +39,9 @@
 //! so adaptivity never trades correctness.  The DP tables themselves live
 //! in a thread-local scratch arena reused across pairs and are never
 //! zero-initialised: Zhang–Shasha finalises every cell under its own
-//! keyroot pair before any later pair reads it (DESIGN §13).
+//! keyroot pair before any later pair reads it (DESIGN §13).  The forest
+//! table keeps only live rows — a few slots on AST shapes instead of
+//! `n + 1` rows — so a pair's memory is essentially its `n·m` `td` table.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -273,6 +275,13 @@ pub struct PostTree {
     /// Σ keyroot span lengths — this tree's factor of the relevant-
     /// subproblem estimate used by [`Strategy::Auto`].
     pub(crate) span_sum: u64,
+    /// Forest-table row → slot map when this tree indexes the DP rows:
+    /// row `di` of keyroot `kr` lives in slot `row_slot[lld(kr) + di]`
+    /// (see [`live_row_slots`]).
+    pub(crate) row_slot: Vec<u32>,
+    /// Number of distinct slots in `row_slot`: the `fd` table holds this
+    /// many rows instead of `n + 1`.
+    pub(crate) fd_rows: usize,
     /// The label table the `syms` column indexes into.
     table: Arc<Interner>,
 }
@@ -337,8 +346,19 @@ impl PostTree {
         keyroots.sort_unstable();
         let span_sum = keyroots.iter().map(|&k| (k - lld[k] + 1) as u64).sum();
         let lld32 = lld.iter().map(|&v| v as u32).collect();
+        let (row_slot, fd_rows) = live_row_slots(&lld, &keyroots);
 
-        PostTree { syms, keys, lld, lld32, keyroots, span_sum, table: Arc::clone(tree.interner()) }
+        PostTree {
+            syms,
+            keys,
+            lld,
+            lld32,
+            keyroots,
+            span_sum,
+            row_slot,
+            fd_rows,
+            table: Arc::clone(tree.interner()),
+        }
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -349,6 +369,66 @@ impl PostTree {
     /// symbol ids directly comparable.
     pub fn same_table(&self, other: &PostTree) -> bool {
         Arc::ptr_eq(&self.table, &other.table)
+    }
+}
+
+/// Give every forest-table row a slot so that no two rows alive at the
+/// same time share one; returns the row → slot map and the slot count.
+///
+/// Under keyroot `kr` (with `l = lld(kr)`) the DP fills forest row `di` —
+/// the post-order prefix `l ..= l + di − 1` — while it processes node
+/// `l + di − 1`, and reads a finished row `p` from only two places: the
+/// next row (its `prev`), and the rows of nodes `i` with `lld(i) = l + p`
+/// (the detached prefix `pi = lld(i) − l`).  Naming rows by `r = l + di`,
+/// row `r` is written at node `r − 1` and last read at node `r` — or, when
+/// `r` is a leaf, at the keyroot `k` with `lld(k) = r` (the top of `r`'s
+/// leftmost chain).  Neither end depends on the keyroot being solved, so
+/// one colouring of these intervals serves every keyroot, whose rows are
+/// a subset.  At node `t` the live rows are `t + 1` (being written), `t`
+/// (its `prev`) and leaf rows `r < t` whose chain top is an
+/// ancestor-or-self of `t` — one per such ancestor, and `t` itself tops
+/// such a chain only if it is not a leaf — so at most `depth(t) + 3` for
+/// an inner node and `depth(t) + 2` for a leaf.  First-fit in start order
+/// is optimal on interval graphs, so it needs at most `height + 2` slots
+/// (height in edges): a handful on AST shapes, against `n + 1` rows for
+/// the whole table.  Each row dies exactly once, two nodes after its last
+/// read, which keeps the pass linear.
+fn live_row_slots(lld: &[usize], keyroots: &[usize]) -> (Vec<u32>, usize) {
+    let n = lld.len();
+    let mut row_slot = vec![0u32; n + 1];
+    let mut free: Vec<u32> = Vec::new();
+    let mut slots = 0u32;
+    let mut tops = keyroots.iter().peekable();
+    for r in 0..=n {
+        // Row r is written at node r − 1, so rows last read at node
+        // t = r − 2 give their slots back: row t itself unless t is a leaf
+        // (a leaf row lives to its chain top), and the leaf row lld(t)
+        // when t tops that chain.
+        if let Some(t) = r.checked_sub(2) {
+            if lld[t] != t {
+                free.push(row_slot[t]);
+            }
+            if tops.next_if(|&&k| k == t).is_some() {
+                free.push(row_slot[lld[t]]);
+            }
+        }
+        row_slot[r] = free.pop().unwrap_or_else(|| {
+            slots += 1;
+            slots - 1
+        });
+    }
+    (row_slot, slots as usize)
+}
+
+/// Forest row `s` (of `cols` cells) of a slot table split around the
+/// row being written at slot `at`: `lo` holds slots `< at`, `hi` slots
+/// `> at`.
+#[inline(always)]
+fn other_row<'a, C>(lo: &'a [C], hi: &'a [C], at: usize, s: usize, cols: usize) -> &'a [C] {
+    if s < at {
+        &lo[s * cols..][..cols]
+    } else {
+        &hi[(s - at - 1) * cols..][..cols]
     }
 }
 
@@ -457,11 +537,14 @@ pub fn ted_with_mode(
 /// Thread-local DP scratch: the `td`/`fd` tables at both cell widths, plus
 /// the SIMD kernel's pair-local u32 label columns.
 ///
-/// Lifetime: one arena per worker thread, alive until the thread exits,
-/// sized by the largest pair the thread has solved (a `ted_bounded` budget
-/// caps that for adversarial inputs).  Buffers only ever grow; growth
-/// zero-fills the *new* region once (`Vec::resize`), and everything else is
-/// reused as-is — see `zs_dp` for why stale values are never observed.
+/// Lifetime: one arena per worker thread, alive until the thread exits.
+/// `td` is sized by the largest `n·m` the thread has solved (a
+/// `ted_bounded` budget caps that for adversarial inputs); `fd` holds only
+/// live forest rows, so it is sized by the largest `fd_rows·(m+1)` — the
+/// row tree's live-row count times the column tree's size, a few rows on
+/// AST shapes.  Buffers only ever grow; growth zero-fills the *new* region
+/// once (`Vec::resize`), and everything else is reused as-is — see `zs_dp`
+/// for why stale values are never observed.
 pub(crate) struct Scratch {
     pub(crate) td32: Vec<u32>,
     pub(crate) fd32: Vec<u32>,
@@ -638,11 +721,16 @@ fn forest_span<C: DpCell>(
 /// **Why skipping zero-init is sound.**  Each `td[i·m + j]` is written
 /// while processing the unique keyroot pair `(k(i), k(j))` whose spans
 /// treat `i` and `j` as whole trees, and only read by keyroot pairs that
-/// come later in the ascending double loop; each `fd` cell is written at
-/// the top of its keyroot pair (row 0 / column 0 explicitly, the rest in
-/// DP order) before any read.  Stale values from previous pairs — or from
-/// previous *trees* — are therefore never observed, and the O(n·m) memset
-/// the baseline kernel paid per pair is pure waste.
+/// come later in the ascending double loop; each `fd` cell is written
+/// before any read within its keyroot pair (row 0 at the top of the pair,
+/// column 0 when the row takes its slot, the rest in DP order).  Stale
+/// values from previous pairs — or from previous *trees* — are therefore
+/// never observed, and the O(n·m) memset the baseline kernel paid per
+/// pair is pure waste.
+///
+/// **Live-row forest table.**  `fd` holds `a.fd_rows` rows, not `n + 1`:
+/// row `di` of keyroot `kr1` lives in slot `a.row_slot[l1 + di]`, and no
+/// two rows that are alive together share a slot (see `live_row_slots`).
 ///
 /// **Branch-split loops** (`SPLIT = true`): the `lld` comparisons that
 /// decide tree-vs-forest cells depend only on the row (`a.lld[i] == l1`)
@@ -665,7 +753,7 @@ fn zs_dp<C: DpCell, const SPLIT: bool>(a: &PostTree, b: &PostTree, costs: CostMo
         let s = &mut *scratch.borrow_mut();
         let (td_vec, fd_vec) = C::parts(s);
         grow(td_vec, n * m);
-        grow(fd_vec, (n + 1) * (m + 1));
+        grow(fd_vec, a.fd_rows * (m + 1));
         // Reborrow as plain slices: indexing through `&mut Vec` forces the
         // data pointer and length to be reloaded after every store (a cell
         // store could alias the Vec header as far as LLVM can prove), which
@@ -730,33 +818,28 @@ fn zs_dp<C: DpCell, const SPLIT: bool>(a: &PostTree, b: &PostTree, costs: CostMo
 
         for &kr1 in &a.keyroots {
             let l1 = a.lld[kr1];
-            let rows = kr1 - l1 + 2; // forest prefix sizes 0..=kr1-l1+1
+            // Forest prefix sizes 0..=kr1-l1+1; row di lives in slot_of[di].
+            let rows = kr1 - l1 + 2;
+            let slot_of = &a.row_slot[l1..l1 + rows];
             for (q, &kr2) in b.keyroots.iter().enumerate() {
                 let l2 = b.lld[kr2];
                 let cols = kr2 - l2 + 2;
 
+                // fd row 0 is never materialised by the split kernel: it
+                // is exactly `ins_ramp[..cols]`, and the only readers —
+                // the di == 1 previous row and the whole-row detached
+                // prefix (pi == 0) — read the shared ramp instead, which
+                // stays cache-hot across all keyroot pairs.
                 let (pj, runs): (&[u32], &[(u32, u32, bool)]) = if SPLIT {
-                    // fd row 0 is never materialised: it is exactly
-                    // `ins_ramp[..cols]`, and the only readers — the
-                    // di == 1 previous row and the whole-row detached
-                    // prefix (pi == 0) — read the shared ramp instead,
-                    // which stays cache-hot across all keyroot pairs.
-                    // Column 0 is still stored (rows 1..): detached-
-                    // prefix gathers hit it at runtime-computed offsets.
-                    for di in 1..rows {
-                        fd[di * cols] = del_ramp[di];
-                    }
                     (
                         &pj_flat[pj_off[q] as usize..][..cols],
                         &runs_flat[runs_off[q] as usize..runs_off[q + 1] as usize],
                     )
                 } else {
-                    fd[0] = C::ZERO;
-                    for di in 1..rows {
-                        fd[di * cols] = fd[(di - 1) * cols] + del;
-                    }
+                    let row0 = slot_of[0] as usize * cols;
+                    fd[row0] = C::ZERO;
                     for dj in 1..cols {
-                        fd[dj] = fd[dj - 1] + ins;
+                        fd[row0 + dj] = fd[row0 + dj - 1] + ins;
                     }
                     (&[], &[])
                 };
@@ -764,11 +847,14 @@ fn zs_dp<C: DpCell, const SPLIT: bool>(a: &PostTree, b: &PostTree, costs: CostMo
                 #[allow(clippy::needless_range_loop)] // di also derives row offsets
                 for di in 1..rows {
                     let i = l1 + di - 1; // actual post-order node in a
-                    let row = di * cols;
-                    let prev = row - cols;
+                    let at = slot_of[di] as usize;
 
                     if !SPLIT {
                         // Reference-shaped loop (arena-backed PR 4 kernel).
+                        let row = at * cols;
+                        let prev = slot_of[di - 1] as usize * cols;
+                        let pref = a.row_slot[a.lld[i]] as usize * cols;
+                        fd[row] = fd[prev] + del;
                         for dj in 1..cols {
                             let j = l2 + dj - 1;
                             if a.lld[i] == l1 && b.lld[j] == l2 {
@@ -779,21 +865,20 @@ fn zs_dp<C: DpCell, const SPLIT: bool>(a: &PostTree, b: &PostTree, costs: CostMo
                                 fd[row + dj] = d;
                                 td[i * m + j] = d;
                             } else {
-                                let pi = a.lld[i] - l1;
                                 let pjv = b.lld[j] - l2;
                                 let d = (fd[prev + dj] + del)
                                     .min(fd[row + dj - 1] + ins)
-                                    .min(fd[pi * cols + pjv] + td[i * m + j]);
+                                    .min(fd[pref + pjv] + td[i * m + j]);
                                 fd[row + dj] = d;
                             }
                         }
                         continue;
                     }
 
-                    // Row slices: `cur` is exactly `cols` long and every
-                    // other row the loop reads lies strictly below it, so
-                    // one `split_at_mut` re-expresses all the 2-D indexing
-                    // as in-bounds 1-D indexing.  `left` carries
+                    // Row slices: `cur` is exactly `cols` long, and the
+                    // rows the loop reads sit in other slots, so two
+                    // `split_at_mut`s re-express all the 2-D indexing as
+                    // in-bounds 1-D indexing.  `left` carries
                     // `cur[dj - 1]` in a register.
                     //
                     // Candidate association matters: the delete and
@@ -804,10 +889,18 @@ fn zs_dp<C: DpCell, const SPLIT: bool>(a: &PostTree, b: &PostTree, costs: CostMo
                     // `left` through the whole three-way min (~5 cycles).
                     // The DP is latency-bound on that chain, so the
                     // association alone is worth ~2x on long rows.
-                    let (fd_lo, fd_hi) = fd.split_at_mut(row);
-                    let cur = &mut fd_hi[..cols];
-                    let prev_row: &[C] = if di == 1 { &ins_ramp[..cols] } else { &fd_lo[prev..] };
+                    let (fd_lo, rest) = fd.split_at_mut(at * cols);
+                    let (cur, fd_hi) = rest.split_at_mut(cols);
+                    let prev_row: &[C] = if di == 1 {
+                        &ins_ramp[..cols]
+                    } else {
+                        other_row(fd_lo, fd_hi, at, slot_of[di - 1] as usize, cols)
+                    };
                     let td_row = &mut td[i * m + l2..i * m + kr2 + 1];
+                    // Column 0 is stored when the row takes its slot:
+                    // detached-prefix gathers hit it at runtime-computed
+                    // offsets.
+                    cur[0] = del_ramp[di];
                     let mut left = del_ramp[di];
                     if a.lld[i] == l1 {
                         let lai = la[i];
@@ -841,7 +934,7 @@ fn zs_dp<C: DpCell, const SPLIT: bool>(a: &PostTree, b: &PostTree, costs: CostMo
                     } else {
                         // Partial row: every cell is the general forest
                         // case — detach whole subtrees, no td writes.
-                        let pref = &fd_lo[(a.lld[i] - l1) * cols..][..cols];
+                        let pref = other_row(fd_lo, fd_hi, at, a.row_slot[a.lld[i]] as usize, cols);
                         forest_span(cur, prev_row, td_row, pj, pref, 1, cols, left, del, ins);
                     }
                 }
@@ -939,11 +1032,13 @@ impl std::error::Error for TedError {}
 pub(crate) const SIMD_LANE_PAD: usize = 16;
 
 /// Estimated peak bytes of DP state Zhang–Shasha holds for a pair under
-/// `costs`: the permanent `n·m` tree-distance table plus the
-/// `(n+1)·(m+1)` scratch forest table, at the cell width the kernel will
-/// actually select (see [`cell_width`]).  Unit-cost pairs — the paper's
-/// GROMACS scenario — need 4-byte cells, half of what the old fixed-`u64`
-/// kernel estimated; extreme cost models still cost 8 bytes per cell.
+/// `costs`: the permanent `n·m` tree-distance table plus the live-row
+/// forest table of `rows·(m+1)` cells, at the cell width the kernel will
+/// actually select (see [`cell_width`]).  `rows` is the height bound on
+/// live forest rows, `min(height(a) + 2, n + 1)` with the height counted
+/// in edges (see `live_row_slots`), so the estimate holds for either
+/// decomposition.  Unit-cost pairs — the paper's GROMACS scenario — need
+/// 4-byte cells; extreme cost models still cost 8 bytes per cell.
 /// u32-width pairs additionally account for the SIMD kernel's lane padding
 /// (two tables × [`SIMD_LANE_PAD`] cells) and its `n + m` pair-local u32
 /// label ids, so the `ted_bounded` budget check covers the production
@@ -952,7 +1047,9 @@ pub fn memory_estimate_with(a: &Tree, b: &Tree, costs: CostModel) -> u64 {
     let n = a.size() as u64;
     let m = b.size() as u64;
     let width = cell_width(a.size(), b.size(), costs);
-    let tables = width.bytes() * (n * m + (n + 1) * (m + 1));
+    // `Tree::height` counts nodes, i.e. edges + 1.
+    let rows = (a.height() as u64 + 1).min(n + 1);
+    let tables = width.bytes() * (n * m + rows * (m + 1));
     match width {
         CellWidth::U32 => tables + 4 * (n + m) + 2 * 4 * SIMD_LANE_PAD as u64,
         CellWidth::U64 => tables,
@@ -1188,13 +1285,14 @@ fn zs_within(a: &PostTree, b: &PostTree, costs: CostModel, tau: u64) -> Option<u
         let s = &mut *scratch.borrow_mut();
         let (td_vec, fd_vec) = <u64 as DpCell>::parts(s);
         grow(td_vec, n * m);
-        grow(fd_vec, (n + 1) * (m + 1));
+        grow(fd_vec, a.fd_rows * (m + 1));
         let td: &mut [u64] = td_vec;
         let fd: &mut [u64] = fd_vec;
 
         // Band-checked fd read: borders come from cost ramps (in band) or
         // `inf`; stored cells only exist in band, everything else is `inf`.
-        let fd_at = |fd: &[u64], cols: usize, r: usize, c: usize| -> u64 {
+        // Row r lives in slot `slot_of[r]` of the live-row table (`zs_dp`).
+        let fd_at = |fd: &[u64], slot_of: &[u32], cols: usize, r: usize, c: usize| -> u64 {
             if r == 0 {
                 return if (c as u64) <= bi { (c as u64).saturating_mul(ins) } else { inf };
             }
@@ -1202,7 +1300,7 @@ fn zs_within(a: &PostTree, b: &PostTree, costs: CostModel, tau: u64) -> Option<u
                 return if (r as u64) <= bd { (r as u64).saturating_mul(del) } else { inf };
             }
             if in_band(r as u64, c as u64) {
-                fd[r * cols + c]
+                fd[slot_of[r] as usize * cols + c]
             } else {
                 inf
             }
@@ -1211,6 +1309,7 @@ fn zs_within(a: &PostTree, b: &PostTree, costs: CostModel, tau: u64) -> Option<u
         for &kr1 in &a.keyroots {
             let l1 = a.lld[kr1];
             let rows = kr1 - l1 + 2;
+            let slot_of = &a.row_slot[l1..l1 + rows];
             for &kr2 in &b.keyroots {
                 let l2 = b.lld[kr2];
                 let cols = kr2 - l2 + 2;
@@ -1223,15 +1322,15 @@ fn zs_within(a: &PostTree, b: &PostTree, costs: CostModel, tau: u64) -> Option<u
                     let jlo = if (di as u64) > bd { (di as u64 - bd) as usize } else { 1 }.max(1);
                     let jhi = (di as u64).saturating_add(bi).min((cols - 1) as u64) as usize;
                     let i = l1 + di - 1;
-                    let row = di * cols;
-                    let mut left = fd_at(fd, cols, di, jlo - 1);
+                    let row = slot_of[di] as usize * cols;
+                    let mut left = fd_at(fd, slot_of, cols, di, jlo - 1);
                     for dj in jlo..=jhi {
                         let j = l2 + dj - 1;
-                        let up = fd_at(fd, cols, di - 1, dj).saturating_add(del);
+                        let up = fd_at(fd, slot_of, cols, di - 1, dj).saturating_add(del);
                         let lf = left.saturating_add(ins);
                         let d = if a.lld[i] == l1 && b.lld[j] == l2 {
                             let sub = if la[i] == lb[j] { 0 } else { rel };
-                            let diag = fd_at(fd, cols, di - 1, dj - 1).saturating_add(sub);
+                            let diag = fd_at(fd, slot_of, cols, di - 1, dj - 1).saturating_add(sub);
                             let d = up.min(lf).min(diag).min(inf);
                             td[i * m + j] = d;
                             d
@@ -1242,7 +1341,7 @@ fn zs_within(a: &PostTree, b: &PostTree, costs: CostModel, tau: u64) -> Option<u
                             // local coordinates of its defining pair.
                             let (tr, tc) = (i - a.lld[i] + 1, j - b.lld[j] + 1);
                             let t = if in_band(tr as u64, tc as u64) { td[i * m + j] } else { inf };
-                            let detach = fd_at(fd, cols, pi, pjv).saturating_add(t);
+                            let detach = fd_at(fd, slot_of, cols, pi, pjv).saturating_add(t);
                             up.min(lf).min(detach).min(inf)
                         };
                         fd[row + dj] = d;
@@ -1812,16 +1911,124 @@ mod tests {
 
     #[test]
     fn memory_estimate_matches_table_shapes() {
-        let a = t("(f (g a b) c)"); // 5 nodes
+        let a = t("(f (g a b) c)"); // 5 nodes, height 2 edges
         let b = t("(x y)"); // 2 nodes
-                            // unit costs select u32 cells: 4 * (5*2 + 6*3) = 4 * 28 = 112
+                            // unit costs select u32 cells: td 5*2, fd min(2+2, 6) = 4 live
+                            // rows of 3 cells: 4 * (10 + 12) = 88,
                             // plus the SIMD footprint: labels 4·(5+2) = 28
                             // and lane pads 2·4·SIMD_LANE_PAD = 128.
-        assert_eq!(memory_estimate(&a, &b), 112 + 28 + 2 * 4 * SIMD_LANE_PAD as u64);
+        assert_eq!(memory_estimate(&a, &b), 88 + 28 + 2 * 4 * SIMD_LANE_PAD as u64);
         // Extreme weights fall back to u64 cells (a scalar-only path, no
-        // SIMD footprint): 8 * 28 = 224.
+        // SIMD footprint): 8 * 22 = 176.
         let extreme = CostModel { delete: u32::MAX, insert: u32::MAX, relabel: 1 };
-        assert_eq!(memory_estimate_with(&a, &b, extreme), 224);
+        assert_eq!(memory_estimate_with(&a, &b, extreme), 176);
+    }
+
+    /// `(s l (s l (… (s l l))))`: every internal node's first child is a
+    /// leaf, so under left paths each leaf's forest row is read again only
+    /// by the node on top of its two-node chain, which comes after every
+    /// leaf — no row dies before the end.
+    fn leaf_first_comb(internal: usize) -> Tree {
+        let mut s = String::from("(s l l)");
+        for _ in 1..internal {
+            s = format!("(s l {s})");
+        }
+        t(&s)
+    }
+
+    /// Replay the keyroot loop's row accesses and check that no forest row
+    /// shares a slot with a row written after it and before its last read.
+    fn assert_slots_keep_live_rows(p: &PostTree) {
+        for &kr in &p.keyroots {
+            let l = p.lld[kr];
+            let slot = |di: usize| p.row_slot[l + di];
+            for di in 1..kr - l + 2 {
+                let i = l + di - 1;
+                // Row di reads its previous row and its detached prefix.
+                for read in [di - 1, p.lld[i] - l] {
+                    for written in read + 1..=di {
+                        assert_ne!(slot(written), slot(read), "kr {kr}: row {written} over {read}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn live_row_slots_keep_live_rows_within_the_height_bound() {
+        // A fan reuses slots: no leaf row is read after its next row.
+        let fan = PostTree::build(&t("(r a b c d e f g h)"), false);
+        assert_eq!(fan.fd_rows, 3);
+        // The leaf-first comb keeps every leaf row live and meets the
+        // bound of height + 2 rows (height in edges, `Tree::height` − 1).
+        let comb = leaf_first_comb(40);
+        assert_eq!(PostTree::build(&comb, false).fd_rows, comb.height() + 1);
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut trees = vec![comb, t("(f (d a (c b)) e)"), t("(a (b (c (d e))))"), t("x")];
+        for _ in 0..200 {
+            let mut tree = Tree::leaf("n");
+            let mut ids = vec![tree.root().unwrap()];
+            for _ in 1..rng.gen_range(1..40usize) {
+                // Attach near the newest nodes, so depth grows like an AST's.
+                let lo = ids.len().saturating_sub(rng.gen_range(1..6usize));
+                let parent = ids[rng.gen_range(lo..ids.len())];
+                ids.push(tree.push_child(parent, "n", None));
+            }
+            trees.push(tree);
+        }
+        for tree in &trees {
+            for mirrored in [false, true] {
+                let p = PostTree::build(tree, mirrored);
+                assert_slots_keep_live_rows(&p);
+                assert!(p.fd_rows <= (tree.height() + 1).min(tree.size() + 1), "{tree}");
+            }
+        }
+    }
+
+    #[test]
+    fn memory_estimate_covers_grown_scratch() {
+        // The `ted_bounded` budget must never under-count what a solve
+        // actually grows: every (shape, costs, strategy, kernel) combination
+        // runs on a fresh thread, so its arena starts empty and ends at
+        // exactly the size that solve needed.
+        fn scratch_bytes() -> u64 {
+            SCRATCH.with(|s| {
+                let s = s.borrow();
+                let narrow = s.td32.len() + s.fd32.len() + s.la32.len() + s.lb32.len();
+                4 * narrow as u64 + 8 * (s.td64.len() + s.fd64.len()) as u64
+            })
+        }
+        let shapes = [
+            (leaf_first_comb(60), leaf_first_comb(45)),
+            (t("(a (a (a (a (a (a b) c) d) e) f) g)"), t("(a (b (c (d (e (f g))))))")),
+            (t("(r a b c d e f g h i j k)"), t("(r (a b c d) (e f g h i) j)")),
+            (t("(c (x a b) (x c (x d e) f) (x g h))"), t("(f (d a (c b)) e)")),
+            (t("x"), t("(y z)")),
+        ];
+        let extreme = CostModel { delete: u32::MAX, insert: u32::MAX, relabel: 1 };
+        for (a, b) in &shapes {
+            for (x, y) in [(a, b), (b, a)] {
+                for costs in [CostModel::UNIT, extreme] {
+                    let bound = memory_estimate_with(x, y, costs);
+                    for s in [Strategy::Left, Strategy::Right, Strategy::Auto] {
+                        for mode in [KernelMode::Full, KernelMode::Simd] {
+                            let (xc, yc) = (x.clone(), y.clone());
+                            let grown = std::thread::spawn(move || {
+                                ted_with_mode(&xc, &yc, costs, s, mode);
+                                scratch_bytes()
+                            })
+                            .join()
+                            .unwrap();
+                            assert!(
+                                grown <= bound,
+                                "{x} vs {y} {costs:?} {s:?} {mode:?}: grew {grown} > {bound}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -346,16 +346,57 @@ pub fn divergence(
             let j = svdist::jaccard_divergence(la, lb);
             Divergence { distance: (j * 1.0e6).round() as u64, dmax: 1_000_000 }
         }
-        Metric::TSrc | Metric::TSem | Metric::TIr => {
-            let ta = tree_of(from, metric, v);
-            let tb = tree_of(to, metric, v);
-            let _s = svtrace::span!("ted.compute", unit = to.art.name, metric = metric.name());
-            let d = ted_shared(&ta, &tb, CostModel::UNIT, Strategy::Auto);
-            let dv = Divergence { distance: d, dmax: tb.size().max(1) as u64 };
-            obs::record_pair(dv.distance, dv.dmax);
-            dv
-        }
+        Metric::TSrc | Metric::TSem | Metric::TIr => tree_divergence(
+            metric,
+            &tree_of(from, metric, v),
+            &tree_of(to, metric, v),
+            &to.art.name,
+        ),
     }
+}
+
+/// The tree-metric arm of [`divergence`] over already extracted trees:
+/// unit-cost TED normalised by the target's size, under a `ted.compute`
+/// span naming the target unit and the metric.
+fn tree_divergence(metric: Metric, from: &SharedTree, to: &SharedTree, unit: &str) -> Divergence {
+    let _s = svtrace::span!("ted.compute", unit = unit, metric = metric.name());
+    let d = ted_shared(from, to, CostModel::UNIT, Strategy::Auto);
+    let dv = Divergence { distance: d, dmax: to.size().max(1) as u64 };
+    obs::record_pair(dv.distance, dv.dmax);
+    dv
+}
+
+/// Divergence of every unit from `units[base]`, in unit order: one
+/// heatmap column (Figs. 7–10) or navigation-chart row (Figs. 13–14).
+///
+/// Tree metrics are computed the way [`divergence_matrix`] computes a
+/// matrix.  Each unit's tree is extracted (and, under `+cov`, masked)
+/// once, so the base tree is decomposed once for the whole row; the pairs
+/// fan out over `svpar::par_tasks` largest-DP-first and the results are
+/// scattered back in unit order, so the row equals a sequential
+/// [`divergence`] loop at any thread count.  Line and count metrics have
+/// no DP to overlap and run sequentially.
+pub fn divergence_row(
+    metric: Metric,
+    v: Variant,
+    base: usize,
+    units: &[Measured<'_>],
+) -> Vec<Divergence> {
+    if !matches!(metric, Metric::TSrc | Metric::TSem | Metric::TIr) {
+        return units.iter().map(|to| divergence(metric, v, &units[base], to)).collect();
+    }
+    let trees: Vec<SharedTree> = units.iter().map(|m| tree_of(m, metric, v)).collect();
+    let from = &trees[base];
+    let mut order: Vec<usize> = (0..trees.len()).collect();
+    // Stable: equal-cost pairs keep unit order.
+    order.sort_by_key(|&i| std::cmp::Reverse(tree_pair_cost(from, &trees[i])));
+    let solved =
+        svpar::par_tasks(&order, |&i| tree_divergence(metric, from, &trees[i], &units[i].art.name));
+    let mut row = vec![Divergence { distance: 0, dmax: 0 }; trees.len()];
+    for (&i, d) in order.iter().zip(solved) {
+        row[i] = d;
+    }
+    row
 }
 
 /// Memory-bounded divergence: like [`divergence`], but refuses tree-metric
@@ -499,21 +540,24 @@ fn pair_distance(metric: Metric, a: &PairArt, b: &PairArt) -> f64 {
 }
 
 /// Estimated DP cost of one matrix cell, used only to order the parallel
-/// schedule (largest first).  Tree pairs cost roughly `|T1|·|T2|` — except
+/// schedule (largest first); see [`tree_pair_cost`] for tree pairs.
+fn pair_cost(a: &PairArt, b: &PairArt) -> u64 {
+    match (a, b) {
+        (PairArt::Tree(a), PairArt::Tree(b)) => tree_pair_cost(a, b),
+        (PairArt::Lines(a), PairArt::Lines(b)) => (a.len() + b.len()) as u64,
+        _ => 1,
+    }
+}
+
+/// Estimated DP cost of a tree pair: roughly `|T1|·|T2|` — except
 /// hash-equal pairs, which the [`ted_shared`] short-circuit answers without
 /// any DP, so they sort with the free cells.  The structural hashes are
 /// memoised on the [`SharedTree`]s, so estimating costs no extra tree walks.
-fn pair_cost(a: &PairArt, b: &PairArt) -> u64 {
-    match (a, b) {
-        (PairArt::Tree(a), PairArt::Tree(b)) => {
-            if a.size() == b.size() && a.structural_hash() == b.structural_hash() {
-                0
-            } else {
-                (a.size() as u64).saturating_mul(b.size() as u64)
-            }
-        }
-        (PairArt::Lines(a), PairArt::Lines(b)) => (a.len() + b.len()) as u64,
-        _ => 1,
+fn tree_pair_cost(a: &SharedTree, b: &SharedTree) -> u64 {
+    if a.size() == b.size() && a.structural_hash() == b.structural_hash() {
+        0
+    } else {
+        (a.size() as u64).saturating_mul(b.size() as u64)
     }
 }
 

@@ -2,7 +2,7 @@
 //! run on a reduced problem, feed the line profile back into the index and
 //! measure masked variants.
 
-use silvervale::{divergence_from, index_app, model_matrix};
+use silvervale::{divergence_from, index_app, model_matrix, navigation_chart};
 use svcorpus::{unit, App, Model};
 use svmetrics::{divergence, tree_of, Measured, Metric, Variant};
 
@@ -105,4 +105,72 @@ fn dead_code_invisible_under_coverage() {
         &Measured::with_coverage(&ub, &rb.coverage),
     );
     assert_eq!(covered.distance, 0, "dead code must vanish under coverage");
+}
+
+#[test]
+fn heatmap_rows_and_chart_equal_a_plain_per_pair_loop() {
+    // Heatmap columns and chart rows fan their tree pairs out over worker
+    // threads, largest DP first.  Every Fig. 7/8 row (the +cov rows
+    // included) and the navigation chart must equal a sequential
+    // per-pair `divergence` loop, entry for entry in DB order, at one
+    // and at two threads.
+    const ROWS: [(Metric, Variant); 16] = [
+        (Metric::Sloc, Variant::PLAIN),
+        (Metric::Sloc, Variant::PP),
+        (Metric::Sloc, Variant::COVERAGE),
+        (Metric::Lloc, Variant::PLAIN),
+        (Metric::Lloc, Variant::PP),
+        (Metric::Source, Variant::PLAIN),
+        (Metric::Source, Variant::PP),
+        (Metric::Source, Variant::COVERAGE),
+        (Metric::TSrc, Variant::PLAIN),
+        (Metric::TSrc, Variant::PP),
+        (Metric::TSrc, Variant::COVERAGE),
+        (Metric::TSem, Variant::PLAIN),
+        (Metric::TSem, Variant::INLINED),
+        (Metric::TSem, Variant::COVERAGE),
+        (Metric::TIr, Variant::PLAIN),
+        (Metric::TIr, Variant::COVERAGE),
+    ];
+    let app = App::MiniBude;
+    let db = index_app(app, true).unwrap();
+    let plain = |metric: Metric, v: Variant| -> Vec<(String, f64)> {
+        let measured: Vec<Measured<'_>> = db
+            .entries
+            .iter()
+            .map(|e| match (&e.coverage, v.coverage) {
+                (Some(c), true) => Measured::of_with_coverage(&e.artifacts, c),
+                _ => Measured::of(&e.artifacts),
+            })
+            .collect();
+        let base = db.entries.iter().position(|e| e.label == "Serial").unwrap();
+        db.entries
+            .iter()
+            .zip(&measured)
+            .map(|(e, to)| {
+                (e.label.clone(), divergence(metric, v, &measured[base], to).normalized())
+            })
+            .collect()
+    };
+    let expect: Vec<Vec<(String, f64)>> = ROWS.iter().map(|&(m, v)| plain(m, v)).collect();
+    let (sem, src) = (plain(Metric::TSem, Variant::PLAIN), plain(Metric::TSrc, Variant::PLAIN));
+    let of = |row: &[(String, f64)], model: Model| {
+        row.iter().find(|(l, _)| l == model.name()).map(|(_, d)| *d).unwrap()
+    };
+    for threads in [1, 2] {
+        svpar::set_threads(threads);
+        for (&(metric, v), want) in ROWS.iter().zip(&expect) {
+            let got = divergence_from(&db, metric, v, "Serial").unwrap();
+            assert_eq!(&got, want, "{}{} at {threads} threads", metric.name(), v.label());
+        }
+        let chart = navigation_chart(app, &db).unwrap();
+        let models: Vec<Model> = chart.points.iter().map(|p| p.model).collect();
+        let others: Vec<Model> = Model::ALL.into_iter().filter(|&m| m != Model::Serial).collect();
+        assert_eq!(models, others, "chart points in model order at {threads} threads");
+        for p in &chart.points {
+            assert_eq!(p.div_t_sem, of(&sem, p.model), "{} T_sem at {threads}", p.model.name());
+            assert_eq!(p.div_t_src, of(&src, p.model), "{} T_src at {threads}", p.model.name());
+        }
+    }
+    svpar::set_threads(0);
 }

@@ -40,6 +40,57 @@ fn arb_tree(max_nodes: usize) -> impl Strategy<Value = Tree> {
     })
 }
 
+/// A tree of a shape that stresses the kernels' live-row forest table:
+/// `0` left comb (spine through the first child), `1` right comb (spine
+/// through the last child; every leaf row stays live under left paths),
+/// `2` wide fan, `3` caterpillar (a spine with legs on both sides), `4`
+/// random attachment to one of the eight newest nodes (`picks` cycled).
+/// `n` bounds the node count; `labels` cycles a three-letter alphabet.
+fn shaped_tree(shape: usize, n: usize, labels: &[u8], picks: &[u8]) -> Tree {
+    let lab = |k: usize| format!("n{}", labels[k % labels.len()]);
+    let mut t = Tree::leaf(lab(0));
+    let mut spine = t.root().unwrap();
+    let mut nodes = vec![spine];
+    while t.size() < n {
+        let k = t.size();
+        match shape {
+            0 => {
+                let next = t.push_child(spine, lab(k), None);
+                t.push_child(spine, lab(k + 1), None);
+                spine = next;
+            }
+            1 => {
+                t.push_child(spine, lab(k), None);
+                spine = t.push_child(spine, lab(k + 1), None);
+            }
+            2 => {
+                t.push_child(spine, lab(k), None);
+            }
+            3 => {
+                t.push_child(spine, lab(k), None);
+                let next = t.push_child(spine, lab(k + 1), None);
+                t.push_child(spine, lab(k + 2), None);
+                spine = next;
+            }
+            _ => {
+                let back = usize::from(picks[k % picks.len()]) % nodes.len().min(8);
+                let parent = nodes[nodes.len() - 1 - back];
+                nodes.push(t.push_child(parent, lab(k), None));
+            }
+        }
+    }
+    t
+}
+
+/// [`shaped_tree`] of a random shape with at most `max_nodes` nodes
+/// (a comb step may add one node past a small bound).
+fn arb_shaped(max_nodes: usize) -> impl Strategy<Value = Tree> {
+    let labels = proptest::collection::vec(0u8..3, 1..16);
+    let picks = proptest::collection::vec(any::<u8>(), 1..32);
+    (0usize..5, 1usize..max_nodes, labels, picks)
+        .prop_map(|(shape, n, labels, picks)| shaped_tree(shape, n, &labels, &picks))
+}
+
 /// A random tree with spans for serialisation tests.
 fn arb_spanned_tree() -> impl Strategy<Value = Tree> {
     (arb_tree(20), any::<u32>()).prop_map(|(t, seed)| {
@@ -313,6 +364,62 @@ proptest! {
             ted_within_shared(&sa, &sb, costs, TedStrategy::Auto, exact),
             Some(exact)
         );
+    }
+
+    #[test]
+    fn live_row_kernels_match_oracle_on_slot_stressing_shapes(
+        a in arb_shaped(11),
+        b in arb_shaped(11),
+        near_max in any::<bool>(),
+    ) {
+        // Combs (no row reuse one way, heavy reuse the other), fans,
+        // caterpillars and random trees: the scalar and vector exact
+        // kernels address forest rows through the live-row slot table and
+        // must agree with the recursive oracle and the allocating
+        // baseline, whose table keeps every row — under unit costs and
+        // near-u32::MAX costs (u64 cells).
+        let costs = if near_max {
+            CostModel { delete: u32::MAX - 1, insert: u32::MAX, relabel: u32::MAX - 2 }
+        } else {
+            CostModel::UNIT
+        };
+        let expect = naive_ted(&a, &b, costs);
+        for s in [TedStrategy::Left, TedStrategy::Right, TedStrategy::Auto] {
+            for mode in [KernelMode::Baseline, KernelMode::Full, KernelMode::Simd] {
+                prop_assert_eq!(ted_with_mode(&a, &b, costs, s, mode), expect, "{:?} {:?}", s, mode);
+            }
+        }
+    }
+
+    #[test]
+    fn live_row_kernels_match_baseline_on_larger_shapes(
+        a in arb_shaped(90),
+        b in arb_shaped(90),
+        cost_i in 0usize..4,
+    ) {
+        // Shapes too big for the oracle, pinned to the baseline under
+        // unit costs, u64 cells, and the largest equal weights that keep
+        // u32 cells (scalar kernel) or leave the vector scan its headroom
+        // (SIMD kernel).
+        let span = 2 * (a.size() + b.size()) as u32;
+        let costs = match cost_i {
+            0 => CostModel::UNIT,
+            1 => CostModel { delete: u32::MAX, insert: u32::MAX - 1, relabel: u32::MAX },
+            2 => {
+                let w = (u32::MAX - 1) / span;
+                CostModel { delete: w, insert: w, relabel: 1 }
+            }
+            _ => {
+                let w = (u32::MAX - 1) / (span + 16);
+                CostModel { delete: w, insert: w, relabel: 1 }
+            }
+        };
+        for s in [TedStrategy::Left, TedStrategy::Right, TedStrategy::Auto] {
+            let expect = ted_with_mode(&a, &b, costs, s, KernelMode::Baseline);
+            for mode in [KernelMode::Full, KernelMode::Simd] {
+                prop_assert_eq!(ted_with_mode(&a, &b, costs, s, mode), expect, "{:?} {:?}", s, mode);
+            }
+        }
     }
 
     // -----------------------------------------------------------------------
