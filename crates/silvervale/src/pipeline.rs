@@ -195,22 +195,28 @@ pub fn navigation_chart(app: App, db: &CodebaseDb) -> Result<NavigationChart, Er
     let base_label = Model::Serial.name();
     let sem = divergence_from(db, Metric::TSem, Variant::PLAIN, base_label)?;
     let src = divergence_from(db, Metric::TSrc, Variant::PLAIN, base_label)?;
-    let mut points = Vec::new();
-    for model in Model::ALL {
-        if model == Model::Serial {
-            continue;
-        }
-        let find = |v: &[(String, f64)]| {
-            v.iter().find(|(l, _)| l == model.name()).map(|(_, d)| *d).unwrap_or(0.0)
-        };
-        points.push(NavPoint {
+    Ok(chart_from_rows(app, &sem, &src))
+}
+
+/// Assemble the navigation chart from its two from-Serial rows (labelled
+/// `T_sem` and `T_src` divergences, as [`divergence_from`] returns them).
+/// Shared by [`navigation_chart`] and the served `chart`, which computes
+/// the rows through the TED cache.
+pub fn chart_from_rows(app: App, sem: &[(String, f64)], src: &[(String, f64)]) -> NavigationChart {
+    let find = |row: &[(String, f64)], model: Model| {
+        row.iter().find(|(l, _)| l == model.name()).map(|(_, d)| *d).unwrap_or(0.0)
+    };
+    let points = Model::ALL
+        .into_iter()
+        .filter(|&model| model != Model::Serial)
+        .map(|model| NavPoint {
             model,
             phi: phi_all(app, model),
-            div_t_sem: find(&sem),
-            div_t_src: find(&src),
-        });
-    }
-    Ok(NavigationChart { app, points })
+            div_t_sem: find(sem, model),
+            div_t_src: find(src, model),
+        })
+        .collect();
+    NavigationChart { app, points }
 }
 
 /// Table II-style inventory of what the DB holds.

@@ -3,9 +3,9 @@
 //! [`AnalysisService`] owns a registry of in-memory codebase DBs and the
 //! content-addressed TED cache, and registers one handler per analysis
 //! verb on an `svserve` [`Router`].  The expensive requests (`compare`,
-//! `matrix`, `cluster`) route every pairwise distance through the cache,
-//! so a session like index → compare → cluster → compare computes each
-//! TED pair exactly once — and answers identically to the one-shot
+//! `matrix`, `cluster`, `chart`) route every pairwise distance through the
+//! cache, so a session like index → compare → cluster → compare computes
+//! each TED pair exactly once — and answers identically to the one-shot
 //! pipeline functions, bit for bit.
 
 use crate::db::CodebaseDb;
@@ -177,31 +177,25 @@ impl AnalysisService {
         self.db(&str_param(params, "db")?)
     }
 
-    /// The divergence matrix of `db`, with every cacheable pair routed
-    /// through the TED cache.  Cells are bit-identical to
-    /// `pipeline::model_matrix` (same integers, same f64 expressions).
+    /// The divergence matrix of `db`, with every cacheable pair resolved by
+    /// the cache-first solver `cached::pairs_cached`.  Cells are
+    /// bit-identical to `pipeline::model_matrix` (same integers, same f64
+    /// expressions).
     fn cached_matrix(&self, db: &CodebaseDb, metric: Metric, v: Variant) -> DistanceMatrix {
         if !cached::supports(metric) {
             return pipeline::model_matrix(db, metric, v);
         }
         let measured = measured_entries(db, v);
         let arts: Vec<FpArtifact> = measured.iter().map(|m| FpArtifact::of(m, metric, v)).collect();
-        // LPT: start the biggest DPs first; fingerprint-equal pairs cost 0.
-        DistanceMatrix::from_fn_par_lpt(
-            db.labels(),
-            |i, j| cached::pair_cost(&arts[i], &arts[j]),
-            |i, j| {
-                let pair = cached::pair_cached(
-                    &self.cache,
-                    metric,
-                    v,
-                    &arts[i],
-                    &arts[j],
-                    &self.pair_computes,
-                );
-                cached::matrix_cell(metric, &pair)
-            },
-        )
+        let cells = DistanceMatrix::upper_pairs(arts.len());
+        let pairs: Vec<(&FpArtifact, &FpArtifact)> =
+            cells.iter().map(|&(i, j)| (&arts[i], &arts[j])).collect();
+        let solved = cached::pairs_cached(&self.cache, metric, v, &pairs, &self.pair_computes);
+        let mut m = DistanceMatrix::new(db.labels());
+        for (&(i, j), pair) in cells.iter().zip(&solved) {
+            m.set(i, j, cached::matrix_cell(metric, pair));
+        }
+        m
     }
 
     /// Divergence of every model from `base`, cache-served where possible.
@@ -218,29 +212,21 @@ impl AnalysisService {
             db.labels().iter().position(|l| l == base).ok_or_else(|| {
                 ServeError::not_found(format!("no unit '{base}' in the database"))
             })?;
-        let out = if cached::supports(metric) {
+        let row = if cached::supports(metric) {
             let arts: Vec<FpArtifact> =
                 measured.iter().map(|m| FpArtifact::of(m, metric, v)).collect();
-            db.labels()
-                .iter()
-                .enumerate()
-                .map(|(i, label)| {
-                    let d = cached::divergence_cached_arts(
-                        &self.cache,
-                        metric,
-                        v,
-                        &arts[base_idx],
-                        &arts[i],
-                        &self.pair_computes,
-                    );
-                    (label.clone(), d.normalized())
-                })
-                .collect()
+            cached::divergences_cached(
+                &self.cache,
+                metric,
+                v,
+                &arts[base_idx],
+                &arts,
+                &self.pair_computes,
+            )
         } else {
-            let row = svmetrics::divergence_row(metric, v, base_idx, &measured);
-            db.labels().into_iter().zip(row).map(|(label, d)| (label, d.normalized())).collect()
+            svmetrics::divergence_row(metric, v, base_idx, &measured)
         };
-        Ok(out)
+        Ok(db.labels().into_iter().zip(row).map(|(label, d)| (label, d.normalized())).collect())
     }
 
     /// Register every analysis verb plus the app-stats section on `router`.
@@ -464,8 +450,12 @@ impl AnalysisService {
         let app_name = str_param(params, "app")?;
         let app = parse_app(&app_name)
             .ok_or_else(|| ServeError::bad_params(format!("unknown app '{app_name}'")))?;
-        let chart = pipeline::navigation_chart(app, &db)
-            .map_err(|e| ServeError::internal(e.to_string()))?;
+        // The chart's two rows are served compares: after the Figs. 9-10
+        // T_sem/T_src-from-Serial requests they are pure cache hits.
+        let base = svcorpus::Model::Serial.name();
+        let sem = self.cached_divergence_from(&db, Metric::TSem, Variant::PLAIN, base)?;
+        let src = self.cached_divergence_from(&db, Metric::TSrc, Variant::PLAIN, base)?;
+        let chart = pipeline::chart_from_rows(app, &sem, &src);
         Ok(Json::obj([("text", Json::str(chart.render()))]))
     }
 
@@ -816,6 +806,183 @@ mod tests {
         // Every from-Serial pair is a subset of the matrix pairs.
         svc.cached_divergence_from(&db, Metric::TSem, Variant::PLAIN, "Serial").unwrap();
         assert_eq!(svc.pair_computes(), computed, "compare served entirely from cache");
+    }
+
+    fn chart_text(svc: &AnalysisService, app: App) -> String {
+        let params = Json::obj([("db", Json::str(app.name())), ("app", Json::str(app.name()))]);
+        let reply = svc.handle_chart(&params).unwrap();
+        reply.get("text").and_then(Json::as_str).unwrap().to_string()
+    }
+
+    #[test]
+    fn served_chart_equals_the_pipeline_cold_and_warm() {
+        for threads in [1usize, 2] {
+            svpar::set_threads(threads);
+            let svc = service_with(App::BabelStream);
+            let db = svc.db("babelstream").unwrap();
+            let want = pipeline::navigation_chart(App::BabelStream, &db).unwrap().render();
+            assert_eq!(chart_text(&svc, App::BabelStream), want, "cold, threads={threads}");
+            let computed = svc.pair_computes();
+            assert!(computed > 0, "a cold chart fills the TED cache");
+            assert_eq!(chart_text(&svc, App::BabelStream), want, "warm, threads={threads}");
+            assert_eq!(svc.pair_computes(), computed, "warm chart recomputes nothing");
+        }
+        svpar::set_threads(0);
+    }
+
+    #[test]
+    fn chart_after_compares_is_all_hits() {
+        let svc = service_with(App::BabelStream);
+        for metric in ["t_sem", "t_src"] {
+            svc.handle_compare(&Json::obj([
+                ("db", Json::str("babelstream")),
+                ("metric", Json::str(metric)),
+                ("from", Json::str("Serial")),
+            ]))
+            .unwrap();
+        }
+        let (computed, before) = (svc.pair_computes(), svc.cache.stats());
+        chart_text(&svc, App::BabelStream);
+        assert_eq!(svc.pair_computes(), computed, "chart served entirely from cache");
+        let after = svc.cache.stats();
+        assert_eq!(after.misses, before.misses);
+        // One hit per model whose tree differs from Serial's, per metric.
+        let db = svc.db("babelstream").unwrap();
+        let base = db.labels().iter().position(|l| l == "Serial").unwrap();
+        let differing = |metric| {
+            let arts = fp_arts(&db, metric);
+            arts.iter().filter(|a| a.fp() != arts[base].fp()).count() as u64
+        };
+        assert_eq!(after.hits - before.hits, differing(Metric::TSem) + differing(Metric::TSrc));
+    }
+
+    /// BabelStream plus a copy of its CUDA unit: two units share every
+    /// fingerprint.
+    fn service_with_twin() -> Arc<AnalysisService> {
+        let svc = AnalysisService::new(1 << 20);
+        let mut db = pipeline::index_app(App::BabelStream, false).unwrap();
+        let cuda = db.entry("CUDA").unwrap().clone();
+        db.push("CUDA-copy", cuda.artifacts, cuda.coverage);
+        svc.insert_db("twin", db);
+        svc
+    }
+
+    fn fp_arts(db: &CodebaseDb, metric: Metric) -> Vec<FpArtifact> {
+        let v = Variant::PLAIN;
+        measured_entries(db, v).iter().map(|m| FpArtifact::of(m, metric, v)).collect()
+    }
+
+    #[test]
+    fn all_hit_compare_and_matrix_count_one_hit_per_differing_pair() {
+        let svc = service_with_twin();
+        let db = svc.db("twin").unwrap();
+        for metric in [Metric::TSem, Metric::Source] {
+            let arts = fp_arts(&db, metric);
+            let differing = |pairs: &[(usize, usize)]| {
+                pairs.iter().filter(|&&(i, j)| arts[i].fp() != arts[j].fp()).count() as u64
+            };
+            svc.cached_matrix(&db, metric, Variant::PLAIN);
+            let (computed, before) = (svc.pair_computes(), svc.cache.stats());
+            svc.cached_matrix(&db, metric, Variant::PLAIN);
+            let after = svc.cache.stats();
+            let cells = DistanceMatrix::upper_pairs(arts.len());
+            assert_eq!(after.hits - before.hits, differing(&cells), "{metric:?} matrix");
+            assert_eq!(after.misses, before.misses, "{metric:?} matrix");
+            let base = db.labels().iter().position(|l| l == "Serial").unwrap();
+            let row: Vec<(usize, usize)> = (0..arts.len()).map(|i| (base, i)).collect();
+            svc.cached_divergence_from(&db, metric, Variant::PLAIN, "Serial").unwrap();
+            let last = svc.cache.stats();
+            assert_eq!(last.hits - after.hits, differing(&row), "{metric:?} compare");
+            assert_eq!(last.misses, before.misses, "{metric:?} compare");
+            assert_eq!(svc.pair_computes(), computed, "{metric:?}");
+        }
+    }
+
+    #[test]
+    fn cold_row_computes_each_distinct_key_once() {
+        svpar::set_threads(2);
+        for _ in 0..3 {
+            let svc = service_with_twin();
+            let db = svc.db("twin").unwrap();
+            let arts = fp_arts(&db, Metric::TSem);
+            let base = arts[db.labels().iter().position(|l| l == "Serial").unwrap()].fp();
+            let mut keys: Vec<u64> =
+                arts.iter().map(FpArtifact::fp).filter(|&fp| fp != base).collect();
+            let lookups = keys.len() as u64;
+            keys.sort_unstable();
+            keys.dedup();
+            assert_eq!(keys.len() as u64 + 1, lookups, "CUDA and its copy share a key");
+            let served =
+                svc.cached_divergence_from(&db, Metric::TSem, Variant::PLAIN, "Serial").unwrap();
+            assert_eq!(svc.pair_computes(), keys.len() as u64);
+            let stats = svc.cache.stats();
+            assert_eq!((stats.misses, stats.insertions), (lookups, keys.len() as u64));
+            let twin = |l: &str| served.iter().find(|(x, _)| x == l).unwrap().1;
+            assert_eq!(twin("CUDA"), twin("CUDA-copy"));
+        }
+        svpar::set_threads(0);
+    }
+
+    /// Flip one ASCII letter of the first label of the store record under
+    /// `hash`: the record still decodes, to a different tree.
+    fn flip_first_label_letter(path: &std::path::Path, hash: u64) {
+        let mut bytes = std::fs::read(path).unwrap();
+        // Store header (magic + version), then [hash u64][len u32][svpack].
+        let mut at = 8;
+        loop {
+            let h = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+            let len = u32::from_le_bytes(bytes[at + 8..at + 12].try_into().unwrap()) as usize;
+            if h == hash {
+                // svpack: magic + version, label count, first label length.
+                let mut pos = at + 12 + 5;
+                svtree::pack::read_varint(&bytes, &mut pos).unwrap();
+                let label_len = svtree::pack::read_varint(&bytes, &mut pos).unwrap() as usize;
+                let letter = bytes[pos..pos + label_len]
+                    .iter()
+                    .position(u8::is_ascii_alphabetic)
+                    .expect("a letter in the first label");
+                bytes[pos + letter] ^= 0x20;
+                break;
+            }
+            at += 12 + len;
+        }
+        std::fs::write(path, bytes).unwrap();
+    }
+
+    #[test]
+    fn served_tree_replaces_a_corrupt_store_record() {
+        let path = std::env::temp_dir()
+            .join(format!("silvervale-serve-test-{}-corrupt.svas", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let db = pipeline::index_app(App::BabelStream, false).unwrap();
+        // T_ir trees are stored on first request, not by indexing, so the
+        // `tree` handler is the first to touch the record after a reopen.
+        let params = Json::obj([
+            ("db", Json::str("babelstream")),
+            ("label", Json::str("Serial")),
+            ("metric", Json::str("t_ir")),
+        ]);
+        let m = Measured::of(&db.entry("Serial").unwrap().artifacts);
+        let want = svmetrics::tree_of(&m, Metric::TIr, Variant::PLAIN);
+        let hash = want.structural_hash();
+        let open = || Arc::new(ArtifactStore::open(&path).unwrap());
+        {
+            let svc = AnalysisService::with_store(1 << 16, Some(open()));
+            svc.insert_db("babelstream", db.clone());
+            svc.handle_tree(&params).unwrap();
+        }
+        flip_first_label_letter(&path, hash);
+        let store = open();
+        let svc = AnalysisService::with_store(1 << 16, Some(Arc::clone(&store)));
+        svc.insert_db("babelstream", db);
+        let (meta, bytes) = svc.handle_tree(&params).unwrap();
+        let served = svdist::SharedTree::new(svtree::pack::read_tree(&bytes).unwrap());
+        assert_eq!(served.structural_hash(), hash, "served bytes decode to the right tree");
+        assert_eq!(*bytes, svtree::pack::write_tree(want.tree()));
+        assert_eq!(meta.get("fp").and_then(Json::as_str), Some(format!("{hash:016x}").as_str()));
+        assert_eq!(store.registry().counter("store.corrupt").get(), 1);
+        drop((svc, store));
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -2056,6 +2056,17 @@ mod tests {
     }
 
     #[test]
+    fn narrow_kernel_holds_costs_whose_sums_pass_u32() {
+        // worst = 2·(3·1 + 1·1.5e9) + 1 fits u32, so the narrow kernel is
+        // selected, although 3·insert alone exceeds u32::MAX.
+        let a = t("(f (a b))"); // 3 nodes
+        let b = t("g"); // 1 node
+        let cm = CostModel { delete: 1, insert: 1_500_000_000, relabel: 1 };
+        assert_eq!(cell_width(a.size(), b.size(), cm), CellWidth::U32);
+        assert_eq!(ted_with(&a, &b, cm, Strategy::Auto), naive_ted(&a, &b, cm));
+    }
+
+    #[test]
     fn bounded_ted_accepts_within_budget() {
         let a = t("(f (g a b) c)");
         let b = t("(f (g a) c d)");

@@ -198,21 +198,6 @@ impl TedCache {
         self.bytes_gauge.set((inner.map.len() * ENTRY_BYTES) as f64);
     }
 
-    /// Look up `key`, computing and inserting on a miss.
-    ///
-    /// Note the computation runs outside the cache lock — identical
-    /// concurrent misses may both compute (benign: same value).  The job
-    /// scheduler's in-flight dedup is what prevents duplicated *request*
-    /// work; this keeps the cache deadlock-free under reentrant use.
-    pub fn get_or_compute(&self, key: CacheKey, f: impl FnOnce() -> CachedPair) -> CachedPair {
-        if let Some(v) = self.get(&key) {
-            return v;
-        }
-        let v = f();
-        self.put(key, v);
-        v
-    }
-
     /// Counter + occupancy snapshot.
     pub fn stats(&self) -> CacheStats {
         let inner = lock_ip(&self.inner);
@@ -300,20 +285,6 @@ mod tests {
         c.put(key(2), val(2));
         assert_eq!(c.stats().entries, 1);
         assert!(c.get(&key(2)).is_some());
-    }
-
-    #[test]
-    fn get_or_compute_computes_once_per_resident_key() {
-        let c = TedCache::new(1 << 16);
-        let mut calls = 0;
-        for _ in 0..3 {
-            let v = c.get_or_compute(key(4), || {
-                calls += 1;
-                val(7)
-            });
-            assert_eq!(v, val(7));
-        }
-        assert_eq!(calls, 1);
     }
 
     #[test]

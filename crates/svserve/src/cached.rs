@@ -7,6 +7,10 @@
 //! `code_divergence` pairs are cheaper to recompute than to fingerprint,
 //! so [`supports`] excludes them and callers fall back to the direct path.
 //!
+//! Every served row and matrix resolves its pairs through one batch solver,
+//! [`pairs_cached`]: hits are answered inline, misses are deduplicated by
+//! cache key and fanned out largest-first.
+//!
 //! The approximate-first matrix engine (`svmetrics::divergence_matrix_approx`,
 //! exposed as the opt-in `approx` request flag in the silvervale service)
 //! bypasses this cache entirely: its threshold kernel can report cutoff
@@ -14,6 +18,8 @@
 //! stored where an exact request would read them back.
 
 use crate::cache::{fnv1a, CacheKey, CachedPair, TedCache};
+use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 use svdist::{edit_distance_onp, ted_shared, CostModel, SharedTree, Strategy};
 use svmetrics::{lines_of, tree_of, Divergence, Measured, Metric, Variant};
 
@@ -92,8 +98,8 @@ impl FpArtifact {
     }
 }
 
-/// Estimated compute cost of an artefact pair, used to order parallel
-/// matrix schedules largest-first (LPT).  Fingerprint-equal pairs are
+/// Estimated compute cost of an artefact pair, used to run a batch's
+/// cache misses largest-first (LPT).  Fingerprint-equal pairs are
 /// answered by the equal-artefact short-circuit without any distance
 /// computation, so they cost 0; everything else scales with the DP table
 /// (tree pairs) or the edit-distance working set (line pairs).  Purely an
@@ -124,78 +130,148 @@ fn raw_distance(a: &FpArtifact, b: &FpArtifact) -> u64 {
     }
 }
 
-/// Distance and weights for an (ordered) artefact pair, served from the
-/// cache when resident.  `compute_count` is bumped only when the distance
-/// is actually computed — the "no recompute" observable tests assert on.
+/// Key of an artefact pair under `metric`/`v` (orientation-free).
+fn key_of(metric: Metric, v: Variant, a: &FpArtifact, b: &FpArtifact) -> CacheKey {
+    CacheKey::pair(a.fp(), b.fp(), metric_code(metric), variant_code(v), COST_UNIT)
+}
+
+/// Compute a pair's cache entry: the distance plus both weights in
+/// fingerprint order, as [`CacheKey`] canonicalises the pair.
+fn compute_entry(a: &FpArtifact, b: &FpArtifact) -> CachedPair {
+    let (w_lo, w_hi) =
+        if a.fp() <= b.fp() { (a.weight(), b.weight()) } else { (b.weight(), a.weight()) };
+    CachedPair { distance: raw_distance(a, b), weight_lo: w_lo, weight_hi: w_hi }
+}
+
+/// Re-orient a stored entry's weights to the caller's (a, b) order.
+fn orient(a: &FpArtifact, b: &FpArtifact, entry: CachedPair) -> CachedPair {
+    if a.fp() <= b.fp() {
+        entry
+    } else {
+        CachedPair { weight_lo: entry.weight_hi, weight_hi: entry.weight_lo, ..entry }
+    }
+}
+
+/// Distances and weights of a batch of (ordered) artefact pairs, served
+/// cache-first — the one pair solver behind every served row and matrix.
+///
+/// Three passes:
+/// 1. every pair whose fingerprints differ is looked up once (one
+///    [`TedCache::get`], so an all-hit batch counts exactly that many
+///    hits); fingerprint-equal pairs are content-identical, at distance 0
+///    by construction, and touch neither the cache nor the DP;
+/// 2. the misses are deduplicated by [`CacheKey`], so each distinct key is
+///    computed exactly once per batch — `compute_count` grows by the
+///    number of distinct missed keys, whatever the thread count;
+/// 3. the distinct misses run largest-[`pair_cost`]-first on
+///    `svpar::par_tasks` and are `put` into the cache.  With at most one
+///    miss `par_tasks` runs it inline, so a warm request starts no threads.
+///
+/// Results come back in `pairs` order with weights in each pair's
+/// (a, b) orientation: `weight_lo` is `a`'s weight, `weight_hi` is `b`'s.
+///
+/// Misses are computed outside the cache lock, so two concurrent batches
+/// missing the same key may both compute it (benign: same value); the job
+/// scheduler's in-flight dedup is what prevents duplicated request work.
+pub fn pairs_cached(
+    cache: &TedCache,
+    metric: Metric,
+    v: Variant,
+    pairs: &[(&FpArtifact, &FpArtifact)],
+    compute_count: &AtomicU64,
+) -> Vec<CachedPair> {
+    let mut out: Vec<Option<CachedPair>> = Vec::with_capacity(pairs.len());
+    let mut missed: HashSet<CacheKey> = HashSet::new();
+    let mut misses: Vec<(&FpArtifact, &FpArtifact)> = Vec::new();
+    for &(a, b) in pairs {
+        if a.fp() == b.fp() {
+            out.push(Some(CachedPair {
+                distance: 0,
+                weight_lo: a.weight(),
+                weight_hi: b.weight(),
+            }));
+            continue;
+        }
+        let key = key_of(metric, v, a, b);
+        let hit = cache.get(&key);
+        if hit.is_none() && missed.insert(key) {
+            misses.push((a, b));
+        }
+        out.push(hit.map(|entry| orient(a, b, entry)));
+    }
+    if misses.is_empty() {
+        return out.into_iter().map(|p| p.expect("all pairs resolved")).collect();
+    }
+    // Stable: equal-cost misses keep request order.
+    misses.sort_by_key(|&(a, b)| std::cmp::Reverse(pair_cost(a, b)));
+    let solved = svpar::par_tasks(&misses, |&(a, b)| compute_entry(a, b));
+    compute_count.fetch_add(misses.len() as u64, Ordering::Relaxed);
+    let mut fresh: HashMap<CacheKey, CachedPair> = HashMap::with_capacity(misses.len());
+    for (&(a, b), entry) in misses.iter().zip(solved) {
+        let key = key_of(metric, v, a, b);
+        cache.put(key, entry);
+        fresh.insert(key, entry);
+    }
+    pairs
+        .iter()
+        .zip(out)
+        .map(|(&(a, b), p)| p.unwrap_or_else(|| orient(a, b, fresh[&key_of(metric, v, a, b)])))
+        .collect()
+}
+
+/// Distance and weights of one (ordered) artefact pair: [`pairs_cached`]
+/// on a batch of one.
 pub fn pair_cached(
     cache: &TedCache,
     metric: Metric,
     v: Variant,
     a: &FpArtifact,
     b: &FpArtifact,
-    compute_count: &std::sync::atomic::AtomicU64,
+    compute_count: &AtomicU64,
 ) -> CachedPair {
-    let key = CacheKey::pair(a.fp(), b.fp(), metric_code(metric), variant_code(v), COST_UNIT);
-    let entry = cache.get_or_compute(key, || {
-        compute_count.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let (w_lo, w_hi) =
-            if a.fp() <= b.fp() { (a.weight(), b.weight()) } else { (b.weight(), a.weight()) };
-        CachedPair { distance: raw_distance(a, b), weight_lo: w_lo, weight_hi: w_hi }
-    });
-    // Re-orient the stored weights to the caller's (a, b) order.
-    let (weight_a, weight_b) = if a.fp() <= b.fp() {
-        (entry.weight_lo, entry.weight_hi)
-    } else {
-        (entry.weight_hi, entry.weight_lo)
-    };
-    CachedPair { distance: entry.distance, weight_lo: weight_a, weight_hi: weight_b }
+    pairs_cached(cache, metric, v, &[(a, b)], compute_count)[0]
 }
 
-/// Cached divergence over pre-extracted artefacts: identical `Divergence`
-/// (Eq. 6 distance, Eq. 7 dmax) to `svmetrics::divergence`, but a
-/// resident pair costs a hash lookup instead of a TED.  Identical
-/// fingerprints short-circuit to distance 0 — content-identical artefacts
-/// are at distance 0 by construction, no computation or cache entry
-/// needed (this is the paper's self-comparison correctness check).
+/// Divergence of every target from `base`, cache-served through
+/// [`pairs_cached`]: identical `Divergence`s (Eq. 6 distance, Eq. 7 dmax)
+/// to `svmetrics::divergence`, but a resident pair costs a hash lookup
+/// instead of a TED.  A target whose fingerprint equals the base's is at
+/// distance 0 (the paper's self-comparison correctness check).
+pub fn divergences_cached(
+    cache: &TedCache,
+    metric: Metric,
+    v: Variant,
+    base: &FpArtifact,
+    targets: &[FpArtifact],
+    compute_count: &AtomicU64,
+) -> Vec<Divergence> {
+    let pairs: Vec<(&FpArtifact, &FpArtifact)> = targets.iter().map(|t| (base, t)).collect();
+    pairs_cached(cache, metric, v, &pairs, compute_count)
+        .iter()
+        .map(|pair| {
+            // Weights are in (base, target) order; dmax matches
+            // svmetrics::divergence exactly: tb.size().max(1) for trees,
+            // (la + lb).max(1) for source lines.
+            let dmax = match metric {
+                Metric::Source => (pair.weight_lo + pair.weight_hi).max(1),
+                _ => pair.weight_hi.max(1),
+            };
+            Divergence { distance: pair.distance, dmax }
+        })
+        .collect()
+}
+
+/// Cached divergence of one artefact pair: [`divergences_cached`] with a
+/// single target.
 pub fn divergence_cached_arts(
     cache: &TedCache,
     metric: Metric,
     v: Variant,
     a: &FpArtifact,
     b: &FpArtifact,
-    compute_count: &std::sync::atomic::AtomicU64,
+    compute_count: &AtomicU64,
 ) -> Divergence {
-    if a.fp() == b.fp() {
-        let dmax = match metric {
-            Metric::Source => (a.weight() + b.weight()).max(1),
-            _ => b.weight().max(1),
-        };
-        return Divergence { distance: 0, dmax };
-    }
-    let pair = pair_cached(cache, metric, v, a, b, compute_count);
-    // weight_lo/weight_hi are in (a, b) order after pair_cached's
-    // re-orientation; dmax matches svmetrics::divergence exactly:
-    // tb.size().max(1) for trees, (la + lb).max(1) for source lines.
-    let dmax = match metric {
-        Metric::Source => (pair.weight_lo + pair.weight_hi).max(1),
-        _ => pair.weight_hi.max(1),
-    };
-    Divergence { distance: pair.distance, dmax }
-}
-
-/// Cached form of `svmetrics::divergence(metric, v, from, to)` for
-/// cacheable metrics (extracts and fingerprints both artefacts first).
-pub fn divergence_cached(
-    cache: &TedCache,
-    metric: Metric,
-    v: Variant,
-    from: &Measured<'_>,
-    to: &Measured<'_>,
-    compute_count: &std::sync::atomic::AtomicU64,
-) -> Divergence {
-    let a = FpArtifact::of(from, metric, v);
-    let b = FpArtifact::of(to, metric, v);
-    divergence_cached_arts(cache, metric, v, &a, &b, compute_count)
+    divergences_cached(cache, metric, v, a, std::slice::from_ref(b), compute_count)[0]
 }
 
 /// Matrix-cell value for an artefact pair — bit-identical to the

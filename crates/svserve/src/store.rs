@@ -15,6 +15,15 @@
 //! Appends are crash-safe by construction: a torn tail record is
 //! detected on open (length runs past EOF) and ignored; the next append
 //! truncates it away.
+//!
+//! A record this process did not append is verified before it is served:
+//! its decoded tree's structural hash must equal its key.  The check runs
+//! once per record (the verified bit is memoised in the index) — on the
+//! cold decode of [`ArtifactStore::get`], the first [`ArtifactStore::raw`]
+//! and the first [`ArtifactStore::append_tree`] of that key.  A record
+//! that fails it is counted (`store.corrupt`, or `store.decode_errors`
+//! when it does not decode at all) and dropped from the index, so the
+//! next `append_tree` of the key writes the correct bytes again.
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -67,12 +76,22 @@ impl Mapping {
     }
 }
 
+/// Where one record's payload lives, and whether its bytes are known to
+/// decode to a tree with the record's hash.
+#[derive(Clone, Copy)]
+struct Record {
+    off: u64,
+    len: u32,
+    /// Appended by this process or checked since: trusted without a decode.
+    verified: bool,
+}
+
 struct StoreInner {
     file: File,
     /// Current file length (header + complete records).
     len: u64,
-    /// Payload offset + length per structural hash.
-    index: HashMap<u64, (u64, u32)>,
+    /// Payload location per structural hash.
+    index: HashMap<u64, Record>,
     /// Read mapping covering the first `mapped_len` bytes; remapped
     /// lazily when a read lands past it.
     map: Option<Mapping>,
@@ -97,6 +116,8 @@ pub struct ArtifactStore {
     append_bytes: Arc<Counter>,
     hits: Arc<Counter>,
     decodes: Arc<Counter>,
+    corrupt: Arc<Counter>,
+    decode_errors: Arc<Counter>,
 }
 
 fn lock(inner: &Mutex<StoreInner>) -> MutexGuard<'_, StoreInner> {
@@ -158,7 +179,9 @@ impl ArtifactStore {
                 if len + REC_HEADER + plen as u64 > file_len {
                     break; // torn payload
                 }
-                index.insert(hash, (len + REC_HEADER, plen));
+                // Later records win: a key re-appended after its record
+                // failed verification is served from the re-appended bytes.
+                index.insert(hash, Record { off: len + REC_HEADER, len: plen, verified: false });
                 len += REC_HEADER + plen as u64;
             }
         }
@@ -171,6 +194,8 @@ impl ArtifactStore {
         let append_bytes = registry.counter("store.append_bytes");
         let hits = registry.counter("store.hits");
         let decodes = registry.counter("store.decodes");
+        let corrupt = registry.counter("store.corrupt");
+        let decode_errors = registry.counter("store.decode_errors");
         Ok(ArtifactStore {
             inner: Mutex::new(StoreInner {
                 file,
@@ -188,6 +213,8 @@ impl ArtifactStore {
             append_bytes,
             hits,
             decodes,
+            corrupt,
+            decode_errors,
         })
     }
 
@@ -201,7 +228,8 @@ impl ArtifactStore {
     }
 
     /// The store's counter registry (`store.appends`, `store.hits`,
-    /// `store.decodes`, `store.append_bytes`) for the `metrics` merge.
+    /// `store.decodes`, `store.append_bytes`, `store.corrupt`,
+    /// `store.decode_errors`) for the `metrics` merge.
     pub fn registry(&self) -> &Registry {
         &self.registry
     }
@@ -212,11 +240,17 @@ impl ArtifactStore {
 
     /// Append a tree under its structural hash (content address).  A
     /// hash already present is a no-op — content-addressing makes
-    /// duplicate appends free.  Returns the hash.
+    /// duplicate appends free — once its record has passed verification;
+    /// a record that fails it is replaced.  Returns the hash.
     pub fn append_tree(&self, tree: &SharedTree) -> io::Result<u64> {
         let hash = tree.structural_hash();
-        if lock(&self.inner).index.contains_key(&hash) {
-            return Ok(hash);
+        {
+            let mut inner = lock(&self.inner);
+            if inner.index.get(&hash).is_some_and(|r| r.verified)
+                || self.load_verified(&mut inner, hash).is_some()
+            {
+                return Ok(hash);
+            }
         }
         let bytes = write_tree(tree.tree());
         self.append_bytes_under(hash, &bytes)?;
@@ -228,7 +262,8 @@ impl ArtifactStore {
 
     /// Append pre-serialised svpack bytes under `hash`.  Rejects
     /// payloads that do not carry the svpack magic: the store must never
-    /// serve bytes `read_tree_in` cannot decode.
+    /// serve bytes `read_tree_in` cannot decode.  The bytes are in the
+    /// caller's hand, so the record counts as verified.
     pub fn append_bytes_under(&self, hash: u64, bytes: &[u8]) -> io::Result<()> {
         if pack::probe_tree(bytes).is_none() {
             return Err(bad_store("payload is not svpack"));
@@ -247,18 +282,23 @@ impl ArtifactStore {
         inner.file.seek(SeekFrom::Start(at))?;
         inner.file.write_all(&rec)?;
         inner.len = at + rec.len() as u64;
-        inner.index.insert(hash, (at + REC_HEADER, len32));
+        inner.index.insert(hash, Record { off: at + REC_HEADER, len: len32, verified: true });
         self.appends.inc();
         self.append_bytes.add(bytes.len() as u64);
         Ok(())
     }
 
     /// Raw svpack bytes of `hash` (copied out of the mapping — callers
-    /// are the wire path, which has to copy into the socket anyway).
+    /// are the wire path, which has to copy into the socket anyway).  The
+    /// first read of a record this process did not append verifies it
+    /// (and retains the decoded tree for [`get`](ArtifactStore::get)).
     pub fn raw(&self, hash: u64) -> Option<Arc<Vec<u8>>> {
         let mut inner = lock(&self.inner);
-        let (off, len) = *inner.index.get(&hash)?;
-        let slice = mapped_record(&mut inner, off, len)?;
+        let rec = *inner.index.get(&hash)?;
+        if !rec.verified {
+            self.load_verified(&mut inner, hash)?;
+        }
+        let slice = mapped_record(&mut inner, rec.off, rec.len)?;
         Some(Arc::new(slice.to_vec()))
     }
 
@@ -266,20 +306,43 @@ impl ArtifactStore {
     ///
     /// Warm path: an `Arc` clone of the retained [`SharedTree`]
     /// (`store.hits`).  Cold path: decode the mmap'd record through the
-    /// shared interner (`store.decodes`) and retain it.
+    /// shared interner (`store.decodes`), verify it unless this process
+    /// appended it, and retain it.  A record that fails to decode or to
+    /// verify reads as `None` and is dropped.
     pub fn get(&self, hash: u64) -> Option<SharedTree> {
         let mut inner = lock(&self.inner);
         if let Some(t) = inner.warm.get(&hash) {
             self.hits.inc();
             return Some(t.clone());
         }
-        let (off, len) = *inner.index.get(&hash)?;
-        let tree = {
-            let slice = mapped_record(&mut inner, off, len)?;
-            pack::read_tree_in(Arc::clone(&self.interner), slice).ok()?
+        self.load_verified(&mut inner, hash)
+    }
+
+    /// Decode the record under `hash`, check its structural hash against
+    /// the key unless it is already verified, and retain the tree.  On a
+    /// decode failure (`store.decode_errors`) or a hash mismatch
+    /// (`store.corrupt`) the index entry is dropped and `None` returned.
+    fn load_verified(&self, inner: &mut StoreInner, hash: u64) -> Option<SharedTree> {
+        let rec = *inner.index.get(&hash)?;
+        let decoded = {
+            let slice = mapped_record(inner, rec.off, rec.len)?;
+            pack::read_tree_in(Arc::clone(&self.interner), slice)
+        };
+        let Ok(tree) = decoded else {
+            self.decode_errors.inc();
+            inner.index.remove(&hash);
+            return None;
         };
         self.decodes.inc();
         let shared = SharedTree::new(tree);
+        if !rec.verified {
+            if shared.structural_hash() != hash {
+                self.corrupt.inc();
+                inner.index.remove(&hash);
+                return None;
+            }
+            inner.index.insert(hash, Record { verified: true, ..rec });
+        }
         inner.warm.insert(hash, shared.clone());
         Some(shared)
     }
@@ -413,6 +476,111 @@ mod tests {
         assert_eq!(store.records(), 2);
         drop(store);
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// A store file at a fresh per-test path holding `t`; returns the
+    /// path and the tree's hash.
+    fn persisted(name: &str, t: &SharedTree) -> (PathBuf, u64) {
+        let path = std::env::temp_dir()
+            .join(format!("svserve-store-test-{}-{name}.svas", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let hash = ArtifactStore::open(&path).unwrap().append_tree(t).unwrap();
+        (path, hash)
+    }
+
+    /// Overwrite the byte at `at` with `f(byte)`.
+    fn patch_byte(path: &Path, at: usize, f: impl Fn(u8) -> u8) {
+        let mut bytes = std::fs::read(path).unwrap();
+        bytes[at] = f(bytes[at]);
+        std::fs::write(path, bytes).unwrap();
+    }
+
+    /// File offset of the first occurrence of `needle` past the header.
+    fn offset_of(path: &Path, needle: &[u8]) -> usize {
+        let bytes = std::fs::read(path).unwrap();
+        let at = bytes[HEADER_LEN as usize..].windows(needle.len()).position(|w| w == needle);
+        HEADER_LEN as usize + at.expect("needle in the store file")
+    }
+
+    #[test]
+    fn flipped_label_byte_is_caught_and_the_key_re_appended() {
+        let t = tree("kernel", 8);
+        let (path, hash) = persisted("flip", &t);
+        // "kernel" -> "Kernel": still valid svpack, a different tree.
+        patch_byte(&path, offset_of(&path, b"kernel"), |b| b ^ 0x20);
+        let store = ArtifactStore::open(&path).unwrap();
+        assert_eq!(store.records(), 1);
+        assert!(store.get(hash).is_none(), "altered tree served under the original key");
+        assert_eq!(store.corrupt.get(), 1);
+        assert_eq!(store.decode_errors.get(), 0);
+        assert_eq!(store.records(), 0, "corrupt record dropped from the index");
+        assert!(store.raw(hash).is_none());
+        // The next append of the key writes the correct bytes again.
+        assert_eq!(store.append_tree(&t).unwrap(), hash);
+        assert_eq!(store.appends.get(), 1);
+        assert_eq!(store.get(hash).unwrap().tree(), t.tree());
+        drop(store);
+        // On reopen the re-appended record shadows the corrupt one.
+        let store = ArtifactStore::open(&path).unwrap();
+        assert_eq!(store.get(hash).unwrap().tree(), t.tree());
+        assert_eq!(store.corrupt.get(), 0);
+        drop(store);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn raw_and_append_verify_a_record_once() {
+        let t = tree("loop", 5);
+        let (path, hash) = persisted("raw-verify", &t);
+        let store = ArtifactStore::open(&path).unwrap();
+        // First raw read of a record from disk: one verifying decode,
+        // whose tree the warm map keeps.
+        assert_eq!(*store.raw(hash).unwrap(), write_tree(t.tree()));
+        assert_eq!(store.decodes.get(), 1);
+        store.raw(hash).unwrap();
+        assert_eq!(store.append_tree(&t).unwrap(), hash);
+        assert!(store.get(hash).is_some());
+        assert_eq!((store.decodes.get(), store.hits.get(), store.appends.get()), (1, 1, 0));
+        drop(store);
+        // A corrupt record is refused by raw as well.
+        patch_byte(&path, offset_of(&path, b"loop"), |b| b ^ 0x20);
+        let store = ArtifactStore::open(&path).unwrap();
+        assert!(store.raw(hash).is_none());
+        assert_eq!(store.corrupt.get(), 1);
+        // And append_tree replaces it rather than trusting the key.
+        store.append_tree(&t).unwrap();
+        assert_eq!((store.corrupt.get(), store.appends.get()), (1, 1));
+        assert_eq!(*store.raw(hash).unwrap(), write_tree(t.tree()));
+        drop(store);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn undecodable_records_are_counted_and_dropped() {
+        let t = tree("body", 3);
+        let (path, hash) = persisted("undecodable", &t);
+        // The svpack version byte follows the 4-byte magic.
+        patch_byte(&path, offset_of(&path, b"SVTR") + 4, |_| 9);
+        let store = ArtifactStore::open(&path).unwrap();
+        assert!(store.get(hash).is_none());
+        assert_eq!((store.decode_errors.get(), store.corrupt.get()), (1, 0));
+        assert_eq!(store.records(), 0);
+        drop(store);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn records_appended_in_process_are_never_re_verified() {
+        let store = ArtifactStore::temp().unwrap();
+        let t = tree("fn", 4);
+        let hash = store.append_tree(&t).unwrap();
+        store.raw(hash).unwrap();
+        store.append_tree(&t).unwrap();
+        let bytes = write_tree(tree("other", 2).tree());
+        let h2 = SharedTree::new(pack::read_tree(&bytes).unwrap()).structural_hash();
+        store.append_bytes_under(h2, &bytes).unwrap();
+        store.raw(h2).unwrap();
+        assert_eq!(store.decodes.get(), 0, "bytes in hand are trusted without a decode");
     }
 
     #[test]
