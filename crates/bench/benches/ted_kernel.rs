@@ -189,7 +189,7 @@ fn main() {
     // Each model paired with a clone of itself: structurally hash-equal,
     // exactly the unported-unit case.  `ted_with` answers from the hashes;
     // `ted_with_mode` is forced through the full DP.
-    let dups: Vec<Tree> = trees.iter().map(|t| t.clone()).collect();
+    let dups: Vec<Tree> = trees.to_vec();
     let full_dp = |mode_full: bool| {
         (0..trees.len())
             .map(|i| {

@@ -1,54 +1,61 @@
-//! Runtime values and environments for the dialect interpreter.
+//! Runtime values for the dialect interpreter.
 //!
-//! Values are dynamically typed; variables live in reference-counted cells
+//! Values are dynamically typed; variables live in reference-counted slots
 //! so that C++ references, lambda captures and array handles alias the way
 //! the source expects.  "Library" objects of the programming models (SYCL
 //! queues/buffers/accessors, Kokkos views, CUDA dim3…) are [`Native`]
 //! values whose behaviour the intrinsics layer implements.
 
+use crate::code::{BinOp, FnCode, LambdaCode};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 
 /// A shared mutable slot (variable binding, array element store).
-pub type Slot = Rc<RefCell<Value>>;
+pub(crate) type Slot = Rc<RefCell<Value>>;
 
 /// A shared array payload.
-pub type ArrayRef = Rc<RefCell<Vec<Value>>>;
+pub(crate) type ArrayRef = Rc<RefCell<Vec<Value>>>;
+
+/// A fresh slot holding `v`.
+pub(crate) fn new_slot(v: Value) -> Slot {
+    Rc::new(RefCell::new(v))
+}
 
 /// Runtime value.
 #[derive(Clone)]
-pub enum Value {
+pub(crate) enum Value {
     Unit,
     Int(i64),
     Real(f64),
     Bool(bool),
-    Str(String),
+    Str(Rc<str>),
     /// Heap array (malloc/cudaMalloc/views/buffers all share this).
     Array(ArrayRef),
     /// A user-struct instance: named field slots.
-    Object(Rc<RefCell<HashMap<String, Slot>>>),
+    Object(Rc<HashMap<String, Slot>>),
     /// A lambda closure.
     Closure(Rc<Closure>),
-    /// A named free function (function pointer).
-    FnRef(String),
+    /// A free function (function pointer).
+    FnRef(Rc<FnCode>),
+    /// An operator functor (`std::plus`, `std::multiplies`).
+    Op(BinOp),
     /// Programming-model library object.
     Native(Native),
 }
 
-/// A lambda with its captured environment.
-pub struct Closure {
-    pub params: Vec<(String, bool)>, // (name, by_reference)
-    pub body: svlang::ast::Block,
-    pub env: Env,
-    /// File the lambda's body lives in (for coverage).
-    pub file: u32,
+/// A lambda with the slots of the enclosing variables its body names.
+pub(crate) struct Closure {
+    pub code: Rc<LambdaCode>,
+    /// One entry per [`crate::code::Loc::Capture`] index; `None` where the
+    /// variable had no slot when the lambda was created.
+    pub captures: Box<[Option<Slot>]>,
 }
 
 /// Library objects of the supported programming models.
 #[derive(Clone)]
-pub enum Native {
+pub(crate) enum Native {
     /// SYCL queue / TBB arena / generic execution context.
     Queue,
     /// SYCL command-group handler.
@@ -64,7 +71,7 @@ pub enum Native {
     /// CUDA dim3 / threadIdx-style coordinate.
     Dim3 { x: i64 },
     /// std::execution policy (par, par_unseq, seq).
-    ExecPolicy(&'static str),
+    ExecPolicy,
     /// A device handle (sycl::device, hipDevice…).
     Device,
 }
@@ -126,7 +133,8 @@ impl fmt::Debug for Value {
             Value::Array(a) => write!(f, "array[{}]", a.borrow().len()),
             Value::Object(_) => write!(f, "object"),
             Value::Closure(_) => write!(f, "closure"),
-            Value::FnRef(n) => write!(f, "fn {n}"),
+            Value::FnRef(func) => write!(f, "fn {}", func.name),
+            Value::Op(op) => write!(f, "fn {}", op.as_str()),
             Value::Native(n) => write!(f, "native {}", n.kind()),
         }
     }
@@ -142,67 +150,9 @@ impl Native {
             Native::Range(_) => "range",
             Native::View(_) => "view",
             Native::Dim3 { .. } => "dim3",
-            Native::ExecPolicy(_) => "policy",
+            Native::ExecPolicy => "policy",
             Native::Device => "device",
         }
-    }
-}
-
-/// A lexical environment: a chain of scopes with shared slots.
-#[derive(Clone)]
-pub struct Env {
-    scopes: Rc<EnvNode>,
-}
-
-struct EnvNode {
-    vars: RefCell<HashMap<String, Slot>>,
-    parent: Option<Rc<EnvNode>>,
-}
-
-impl Env {
-    /// Fresh root environment.
-    pub fn new() -> Env {
-        Env { scopes: Rc::new(EnvNode { vars: RefCell::new(HashMap::new()), parent: None }) }
-    }
-
-    /// A child environment whose lookups fall through to `self`.
-    pub fn child(&self) -> Env {
-        Env {
-            scopes: Rc::new(EnvNode {
-                vars: RefCell::new(HashMap::new()),
-                parent: Some(self.scopes.clone()),
-            }),
-        }
-    }
-
-    /// Declare (or shadow) a variable in the innermost scope.
-    pub fn declare(&self, name: &str, v: Value) -> Slot {
-        let slot = Rc::new(RefCell::new(v));
-        self.scopes.vars.borrow_mut().insert(name.to_string(), slot.clone());
-        slot
-    }
-
-    /// Bind an existing slot (reference parameters, captured vars).
-    pub fn bind(&self, name: &str, slot: Slot) {
-        self.scopes.vars.borrow_mut().insert(name.to_string(), slot);
-    }
-
-    /// Find a variable's slot anywhere up the chain.
-    pub fn lookup(&self, name: &str) -> Option<Slot> {
-        let mut cur = Some(&self.scopes);
-        while let Some(node) = cur {
-            if let Some(s) = node.vars.borrow().get(name) {
-                return Some(s.clone());
-            }
-            cur = node.parent.as_ref();
-        }
-        None
-    }
-}
-
-impl Default for Env {
-    fn default() -> Self {
-        Env::new()
     }
 }
 
@@ -225,28 +175,6 @@ mod tests {
         assert!(!Value::Int(0).truthy());
         assert!(!Value::Unit.truthy());
         assert!(Value::Str("".into()).truthy());
-    }
-
-    #[test]
-    fn env_scoping_and_shadowing() {
-        let root = Env::new();
-        root.declare("x", Value::Int(1));
-        let inner = root.child();
-        assert_eq!(inner.lookup("x").unwrap().borrow().as_int(), Some(1));
-        inner.declare("x", Value::Int(2));
-        assert_eq!(inner.lookup("x").unwrap().borrow().as_int(), Some(2));
-        assert_eq!(root.lookup("x").unwrap().borrow().as_int(), Some(1));
-        assert!(root.lookup("missing").is_none());
-    }
-
-    #[test]
-    fn slots_alias() {
-        let root = Env::new();
-        let slot = root.declare("a", Value::Int(10));
-        let inner = root.child();
-        inner.bind("alias", slot);
-        *inner.lookup("alias").unwrap().borrow_mut() = Value::Int(99);
-        assert_eq!(root.lookup("a").unwrap().borrow().as_int(), Some(99));
     }
 
     #[test]

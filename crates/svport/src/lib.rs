@@ -32,8 +32,8 @@ pub mod gen;
 pub mod score;
 
 pub use gate::{
-    baseline_run, compile_candidate, gate, run_limited, sum_token, BaselineRun, GateClass, Gated,
-    PortError, STEP_LIMIT,
+    baseline_run, compile_candidate, gate, sum_token, BaselineRun, GateClass, Gated, PortError,
+    STEP_LIMIT,
 };
 pub use gen::{generate, parallel_models, source_fingerprint, Candidate, Dialect};
 pub use score::{
