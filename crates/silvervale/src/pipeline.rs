@@ -27,8 +27,13 @@ use svperf::{phi_all, NavPoint, NavigationChart};
 /// so the produced DB is identical to [`index_app_seq`].
 pub fn index_app(app: App, with_coverage: bool) -> Result<CodebaseDb, Error> {
     let _s = svtrace::span!("pipeline.index_app", app = app.name());
-    let results =
-        svpar::par_tasks(&Model::ALL, |&model| index_one_model(app, model, with_coverage));
+    // Workers carry the caller's trace, so a traced request's record shows
+    // every unit's compile and run.
+    let trace = svtrace::ctx::capture();
+    let results = svpar::par_tasks(&Model::ALL, |&model| {
+        let _t = svtrace::ctx::install(trace.clone());
+        index_one_model(app, model, with_coverage)
+    });
     let mut db = CodebaseDb::new(app.name());
     for r in results {
         let (label, artifacts, coverage) = r?;
